@@ -1,6 +1,7 @@
-//! Fragment-parallel analysis scaling: how the `scan → split → map →
-//! merge` pipeline of `btrace_persist::analyze_frames` behaves as worker
-//! threads are added, on a large synthetic BTSF stream.
+//! Fragment-parallel analysis scaling: how the `plan → split → map →
+//! merge` executor behind `btrace_persist::analyze_frames` (the
+//! unconstrained `Query::run`) behaves as worker threads are added, on a
+//! large synthetic BTSF stream.
 //!
 //! Writes `BENCH_analysis.json`. Measurements, sequential (`K = 1`) and
 //! at `K ∈ {2, 4, 8}`:
@@ -16,7 +17,7 @@
 //!
 //! `BTRACE_BENCH_ANALYSIS_MIB` overrides the stream size (default 256).
 
-use btrace_persist::{analyze_frames, encode_frame, AnalyzeOptions, ParallelAnalysis};
+use btrace_persist::{analyze_frames, encode_frame, QueryOptions, QueryReport};
 
 use btrace_core::sink::FullEvent;
 use std::time::Instant;
@@ -79,14 +80,10 @@ struct Run {
     defects: usize,
 }
 
-fn run_once(
-    bytes: &[u8],
-    threads: usize,
-    baseline: Option<&ParallelAnalysis>,
-) -> (Run, ParallelAnalysis) {
-    let opts = AnalyzeOptions { threads, ..AnalyzeOptions::default() };
+fn run_once(bytes: &[u8], threads: usize, baseline: Option<&QueryReport>) -> (Run, QueryReport) {
+    let opts = QueryOptions { threads, ..QueryOptions::default() };
     let t0 = Instant::now();
-    let out = analyze_frames(bytes, &opts).expect("synthetic stream decodes");
+    let out = analyze_frames(bytes, opts).expect("synthetic stream decodes");
     let wall = t0.elapsed().as_secs_f64();
     let min = out.work.iter().map(|w| w.events).min().unwrap_or(0);
     let max = out.work.iter().map(|w| w.events).max().unwrap_or(0);
@@ -103,7 +100,7 @@ fn run_once(
         bit_identical: baseline
             .map(|b| b.analysis == out.analysis && b.state == out.state)
             .unwrap_or(true),
-        defects: out.defects.len(),
+        defects: out.handoff.len(),
     };
     (run, out)
 }

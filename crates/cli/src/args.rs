@@ -31,7 +31,8 @@ COMMANDS:
         --core <N>                 keep events from core N (repeatable)
         --category <NAME|0xBITS>   keep atrace events in this category
                                    (name from the catalog, or a hex/dec mask)
-        --threads <K>              worker threads (default 1)
+        --threads <K>              worker threads; K > 1 is cross-checked
+                                   against a 1-thread run (default 1)
         --metrics                  also print the retention metrics table
         --gap-map                  also print the retention gap map
         --json                     emit the report as one JSON line

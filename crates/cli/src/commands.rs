@@ -6,15 +6,15 @@ use btrace_baselines::{Bbq, PerCoreDropNewest, PerCoreOverwrite, PerThread};
 use btrace_core::sink::CollectedEvent;
 use btrace_core::{BTrace, Backing, Config, FaultPlan};
 use btrace_persist::{
-    analyze_frames, analyze_frames_with, encode_stream, AnalyzeOptions, Backpressure,
-    FileFrameSink, FrameSink, JsonlExporter, NullFrameSink, ParallelAnalysis, PipelineConfig,
-    Predicate, PrometheusExporter, Query, StreamPipeline, TraceDump, TraceStore,
+    encode_stream, Backpressure, FileFrameSink, FrameSink, JsonlExporter, NullFrameSink,
+    PipelineConfig, Predicate, PrometheusExporter, Query, StreamPipeline, TraceDump, TraceStore,
 };
 use btrace_replay::{scenarios, ReplayConfig, ReplayReport, Replayer};
 use btrace_telemetry::{
     degraded, ControllerConfig, ControllerThread, EventKind, Exporter, FlightRecorder,
     HealthSnapshot, ResizeTarget, Sampler, SamplerConfig,
 };
+use std::io::Read;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -194,56 +194,46 @@ pub fn replay(scenario: &str, tracer: &str, scale: f64, threads: usize) -> i32 {
     }
 }
 
+/// Opens `file` as a [`TraceStore`]: a BTSF frame stream through the
+/// mmap-backed store directly, a `.btd` dump re-framed in memory, so both
+/// formats flow through the same executor.
+fn open_store(file: &str) -> Result<TraceStore, String> {
+    let mut magic = [0u8; 4];
+    std::fs::File::open(file)
+        .and_then(|mut f| f.read_exact(&mut magic))
+        .map_err(|e| format!("cannot read {file}: {e}"))?;
+    if &magic == b"BTSF" {
+        return TraceStore::open(Path::new(file)).map_err(|e| format!("cannot open {file}: {e}"));
+    }
+    match TraceDump::read_from(Path::new(file)) {
+        Ok(dump) => Ok(TraceStore::from_bytes(encode_stream(dump.events(), 512))),
+        Err(e) => Err(format!("{file} is neither a BTSF stream nor a trace dump: {e}")),
+    }
+}
+
 /// `btrace analyze`
 pub fn analyze(file: &str, threads: usize, fragments: usize, map: bool) -> i32 {
-    let bytes = match std::fs::read(file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
+    let store = match open_store(file) {
+        Ok(store) => store,
+        Err(message) => {
+            eprintln!("error: {message}");
             return 1;
         }
     };
-    // A BTSF frame stream is analyzed in place; a .btd dump is re-framed
-    // on the fly so both formats flow through the same fragment pipeline.
-    let frames = if bytes.starts_with(b"BTSF") {
-        bytes
-    } else {
-        match TraceDump::read_from(Path::new(file)) {
-            Ok(dump) => encode_stream(dump.events(), 512),
-            Err(e) => {
-                eprintln!("error: {file} is neither a BTSF stream nor a trace dump: {e}");
-                return 1;
-            }
-        }
-    };
-    let mut opts = AnalyzeOptions { threads, fragments, ..AnalyzeOptions::default() };
-    let mut out = match analyze_frames(&frames, &opts) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let mut q = Query::default();
+    q.options.threads = threads;
+    q.options.fragments = fragments;
+    let mut out = q.run(&store);
     if map && !out.state.is_empty() {
         // Second pass with the window sized to the observed stamp range;
         // fragment splitting and merge order are identical both times.
         let window = out.state.last_stamp - out.state.first_stamp + 1;
-        opts.gap_map = Some(GapMapOptions { window, width: 72 });
-        out = match analyze_frames(&frames, &opts) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
+        q.options.gap_map = Some(GapMapOptions { window, width: 72 });
+        out = q.run(&store);
     }
-    print_parallel_analysis(&out);
-    i32::from(!out.defects.is_empty())
-}
-
-fn print_parallel_analysis(out: &ParallelAnalysis) {
-    println!("frames              {} ({} legacy, footer-less)", out.frames, out.legacy_frames);
-    println!("fragments           {} on {} thread(s)", out.work.len(), out.threads);
+    let legacy = store.frames().iter().filter(|f| f.index.is_none()).count();
+    println!("frames              {} ({legacy} legacy, footer-less)", out.frames_total);
+    println!("fragments           {} on {} thread(s)", out.work.len(), threads.max(1));
     let total_events: u64 = out.work.iter().map(|w| w.events).sum();
     if !out.work.is_empty() && total_events > 0 {
         println!("\nper-fragment work:");
@@ -268,6 +258,9 @@ fn print_parallel_analysis(out: &ParallelAnalysis) {
         println!("{}", table.render());
     }
     for defect in &out.defects {
+        println!("frame defect: {defect}");
+    }
+    for defect in &out.handoff {
         println!("boundary defect: {defect}");
     }
     println!();
@@ -276,6 +269,7 @@ fn print_parallel_analysis(out: &ParallelAnalysis) {
         println!("retention gap map (old -> new):");
         println!("|{map}|");
     }
+    i32::from(!out.defects.is_empty() || !out.handoff.is_empty())
 }
 
 /// Resolves a `--category` argument: a catalog label (`sched`), or a raw
@@ -318,35 +312,14 @@ pub fn query(
             return 1;
         }
     };
-    let predicate = Predicate { since, until, cores: cores.to_vec(), category };
-    // A BTSF frame stream opens through the mmap-backed store directly; a
-    // .btd dump is re-framed in memory so both formats answer queries.
-    let head = {
-        let mut magic = [0u8; 4];
-        use std::io::Read;
-        std::fs::File::open(file).and_then(|mut f| f.read_exact(&mut magic)).map(|()| magic)
-    };
-    let store = match head {
-        Ok(magic) if &magic == b"BTSF" => match TraceStore::open(Path::new(file)) {
-            Ok(store) => store,
-            Err(e) => {
-                eprintln!("error: cannot open {file}: {e}");
-                return 1;
-            }
-        },
-        Ok(_) => match TraceDump::read_from(Path::new(file)) {
-            Ok(dump) => TraceStore::from_bytes(encode_stream(dump.events(), 512)),
-            Err(e) => {
-                eprintln!("error: {file} is neither a BTSF stream nor a trace dump: {e}");
-                return 1;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
+    let store = match open_store(file) {
+        Ok(store) => store,
+        Err(message) => {
+            eprintln!("error: {message}");
             return 1;
         }
     };
-    let mut q = Query::new(predicate.clone());
+    let mut q = Query::new(Predicate { since, until, cores: cores.to_vec(), category });
     let mut report = q.run(&store);
     if map && !report.state.is_empty() {
         // Second pass with the window sized to the matched stamp range.
@@ -355,24 +328,19 @@ pub fn query(
         report = q.run(&store);
     }
     if threads > 1 {
-        // The pruned fragment-parallel analyzer shares the query's plan;
-        // cross-check the two paths like `replay --threads` does.
-        let opts = AnalyzeOptions { threads, gap_map: q.options.gap_map, ..Default::default() };
-        match analyze_frames_with(store.bytes(), &opts, Some(&predicate)) {
-            Ok(par) => {
-                let agree = par.analysis == report.analysis
-                    && par.state == report.state
-                    && par.gap_map == report.gap_map;
-                if !agree {
-                    eprintln!("error: fragment-parallel query DIVERGES from the store query");
-                    return 1;
-                }
-            }
-            Err(e) => {
-                // The store query tolerates per-frame corruption; the strict
-                // parallel path refuses it. Not a divergence.
-                eprintln!("note: fragment-parallel cross-check skipped: {e}");
-            }
+        // Cross-check the fragment-parallel shape of the same executor
+        // against the calling-thread run, like `replay --threads` does. The
+        // executor tolerates per-frame damage at any thread count, so damaged
+        // files are cross-checked too.
+        q.options.threads = threads;
+        let par = q.run(&store);
+        let agree = par.analysis == report.analysis
+            && par.state == report.state
+            && par.gap_map == report.gap_map
+            && par.defects == report.defects;
+        if !agree {
+            eprintln!("error: fragment-parallel query DIVERGES from the sequential query");
+            return 1;
         }
     }
     if json {

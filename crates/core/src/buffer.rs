@@ -474,13 +474,6 @@ impl BTrace {
         self.shared.domain.stats()
     }
 
-    /// Returns an incremental reader that yields each event exactly once
-    /// across polls — the access pattern of an asynchronous collector
-    /// daemon (§2.1).
-    pub fn tail(&self) -> crate::TailReader {
-        crate::TailReader::new(Arc::clone(&self.shared))
-    }
-
     /// Returns a block-granularity streaming consumer: each
     /// [`poll`](crate::StreamConsumer::poll) hands off only blocks closed
     /// since the previous poll, so every delivered batch is final and can

@@ -64,7 +64,6 @@ pub mod sink;
 mod stats;
 pub mod stream;
 mod sync;
-mod tail;
 #[cfg(feature = "telemetry")]
 mod telem;
 
@@ -78,7 +77,6 @@ pub use stats::{Degraded, Stats, TracerState};
 pub use stream::{DrainedBatch, ShardedStreamConsumer, StreamConsumer, StreamShard, StreamStats};
 #[cfg(feature = "model")]
 pub use sync::model_rt;
-pub use tail::{Polled, TailReader};
 
 // Re-exported so downstream crates can configure memory backing and
 // fault injection without depending on the substrate crate directly.

@@ -4,12 +4,10 @@
 //!
 //! A [`StreamConsumer`] tracks the last-drained global block sequence and,
 //! on each [`poll`](StreamConsumer::poll), hands off only blocks that have
-//! **closed** since the previous poll. Unlike [`TailReader`](crate::TailReader)
-//! (which also returns partial prefixes of still-open blocks), the streaming
-//! consumer treats the closed block as its unit of delivery — the natural
-//! streaming granule of the block machinery (BBQ's consumption model), and
-//! the granularity at which a batch can be encoded and shipped without ever
-//! being amended by a later poll.
+//! **closed** since the previous poll. The closed block is its unit of
+//! delivery — the natural streaming granule of the block machinery (BBQ's
+//! consumption model), and the granularity at which a batch can be encoded
+//! and shipped without ever being amended by a later poll.
 //!
 //! ## Why closed-block handoff needs no new producer synchronization
 //!

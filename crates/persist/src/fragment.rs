@@ -1,134 +1,18 @@
-//! Fragment splitting over BTSF streams: cut a dump at frame boundaries
-//! into self-describing [`FragmentContext`]s that replay and analysis can
-//! process independently on a worker pool.
+//! Fragment splitting over the [`TraceStore`](crate::TraceStore) frame
+//! directory: cut a run of frames at frame boundaries into self-describing
+//! [`FragmentContext`]s that the query executor maps independently on a
+//! worker pool.
 //!
-//! Splitting is **O(frames)**, not O(events): the per-frame index footer
-//! written by [`encode_frame`](crate::encode_frame) sits at a fixed offset
-//! from each frame's end, so the scanner reads frame headers and footers
-//! without decoding a single event. Footer-less legacy frames still scan
-//! (their header carries seq and count at fixed offsets); only the
-//! stamp/bitmap seed fields degrade to "unknown" for them.
+//! Splitting is **O(frames)**, not O(events): it reads only the directory's
+//! header counts and `FIDX` footers. Footer-less legacy frames still split
+//! (their header carries seq and count); only the stamp/bitmap seed fields
+//! degrade to "unknown" for them.
 
-use std::io;
 use std::ops::Range;
 
 use btrace_core::sink::FullEvent;
 
-use crate::stream::{FOOTER_BYTES, FOOTER_MAGIC};
-use crate::{decode_frames, StreamFrame};
-
-/// The decoded per-frame index footer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct FrameIndex {
-    /// Smallest stamp in the frame; `u64::MAX` for an empty frame.
-    pub min_stamp: u64,
-    /// Largest stamp in the frame; 0 for an empty frame.
-    pub max_stamp: u64,
-    /// Folded 64-bit core bitmap (bit `min(core, 63)`).
-    pub core_bitmap: u64,
-    /// Event count (mirrors the frame header).
-    pub event_count: u32,
-    /// Sum of raw payload lengths.
-    pub payload_bytes: u64,
-}
-
-/// One frame's location and cheap metadata, from [`scan_frames`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct FrameInfo {
-    /// Byte offset of the frame start in the stream.
-    pub offset: usize,
-    /// Whole frame length in bytes (magic through crc).
-    pub len: usize,
-    /// Frame sequence number.
-    pub seq: u64,
-    /// Event count from the frame header (version flag masked off).
-    pub events: u32,
-    /// Whether the event section is delta/varint compressed (revision 2,
-    /// flagged by [`FRAME_FLAG_COMPRESSED`](crate::stream) in the header).
-    pub compressed: bool,
-    /// Index footer, when the frame carries one.
-    pub index: Option<FrameIndex>,
-}
-
-fn bad(reason: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
-}
-
-/// Scans a BTSF stream in O(frames): frame boundaries from the length
-/// headers, seq/count from their fixed header offsets, and the index footer
-/// from its fixed tail offset. No event is decoded and no checksum is
-/// verified — fragments re-verify their own bytes when they decode.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] on bad magic or a length header pointing
-/// outside the stream (structural corruption visible without decoding).
-pub fn scan_frames(bytes: &[u8]) -> io::Result<Vec<FrameInfo>> {
-    let mut infos = Vec::new();
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < 8 || &rest[..4] != crate::stream::FRAME_MAGIC {
-            return Err(bad("bad frame magic"));
-        }
-        let body_len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
-        if rest.len() < 8 + body_len || body_len < 20 {
-            return Err(bad("truncated frame"));
-        }
-        let len = 8 + body_len;
-        let seq = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-        let raw_count = u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes"));
-        let compressed = raw_count & crate::stream::FRAME_FLAG_COMPRESSED != 0;
-        let events = raw_count & !crate::stream::FRAME_FLAG_COMPRESSED;
-        let index = probe_footer(&rest[..len], events, compressed);
-        infos.push(FrameInfo { offset, len, seq, events, compressed, index });
-        offset += len;
-    }
-    Ok(infos)
-}
-
-/// Parses the index footer at its fixed tail offset, validating it against
-/// the frame header (magic, event count, and — for plain frames — the
-/// body-length arithmetic `12 + 18·count + payload_bytes + footer + crc ==
-/// body_len`). Returns `None` for legacy footer-less frames.
-pub(crate) fn probe_footer(
-    frame: &[u8],
-    header_count: u32,
-    compressed: bool,
-) -> Option<FrameIndex> {
-    // magic(4) + body_len(4) + seq(8) + count(4) + footer + crc(8)
-    if frame.len() < 8 + 12 + FOOTER_BYTES + 8 {
-        return None;
-    }
-    let footer = &frame[frame.len() - 8 - FOOTER_BYTES..frame.len() - 8];
-    if &footer[..4] != FOOTER_MAGIC {
-        return None;
-    }
-    let min_stamp = u64::from_le_bytes(footer[4..12].try_into().expect("8 bytes"));
-    let max_stamp = u64::from_le_bytes(footer[12..20].try_into().expect("8 bytes"));
-    let core_bitmap = u64::from_le_bytes(footer[20..28].try_into().expect("8 bytes"));
-    let event_count = u32::from_le_bytes(footer[28..32].try_into().expect("4 bytes"));
-    let payload_bytes = u64::from_le_bytes(footer[32..40].try_into().expect("8 bytes"));
-    if event_count != header_count {
-        return None;
-    }
-    // A legacy frame whose last event bytes merely *look* like a footer
-    // cannot also satisfy the length equation, because the pseudo-footer's
-    // 40 bytes would then be counted twice. Compressed frames have no fixed
-    // per-event width for such an equation — and need none: the version bit
-    // only exists in revision-2 writers, which always emit a real footer, so
-    // the tail 40 bytes are unambiguous.
-    if !compressed {
-        let expected_len =
-            8 + 12 + 18 * event_count as usize + payload_bytes as usize + FOOTER_BYTES + 8;
-        if expected_len != frame.len() {
-            return None;
-        }
-    }
-    Some(FrameIndex { min_stamp, max_stamp, core_bitmap, event_count, payload_bytes })
-}
+use crate::store::StoreFrame;
 
 /// What the frame index promises lies **before** a fragment — the fragment's
 /// seeded entry state for the boundary hand-off check.
@@ -154,15 +38,14 @@ pub struct FragmentSeed {
 /// A self-describing slice of a BTSF stream: the frame range, its byte
 /// span, cheap totals, and the seeded entry state — everything a worker
 /// needs to decode and analyze the fragment independently, and everything
-/// the reducer needs to verify the boundary hand-off. The `(stream,
-/// byte-range)` pair is the continuation handle: [`decode`](Self::decode)
-/// resumes the stream exactly at the fragment's first frame.
+/// the reducer needs to verify the boundary hand-off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct FragmentContext {
     /// Fragment position (0-based, in stream order).
     pub index: usize,
-    /// Frame indices covered (into the [`scan_frames`] result).
+    /// Frame positions covered (into the slice given to
+    /// [`split_fragments`]).
     pub frames: Range<usize>,
     /// Byte span in the stream.
     pub bytes: Range<usize>,
@@ -174,24 +57,13 @@ pub struct FragmentContext {
     pub seed: FragmentSeed,
 }
 
-impl FragmentContext {
-    /// Decodes the fragment's frames (crc verified per frame).
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] on corruption inside the fragment.
-    pub fn decode(&self, stream: &[u8]) -> io::Result<Vec<StreamFrame>> {
-        decode_frames(&stream[self.bytes.clone()])
-    }
-}
-
-/// Cuts scanned frames into at most `parts` contiguous fragments with
+/// Cuts directory entries into at most `parts` contiguous fragments with
 /// near-equal event counts (each boundary lands within one frame of the
 /// ideal cut — frames are never split). Fewer fragments come back when
 /// there are fewer non-empty frames than requested parts.
-pub fn split_fragments(infos: &[FrameInfo], parts: usize) -> Vec<FragmentContext> {
+pub fn split_fragments(frames: &[StoreFrame], parts: usize) -> Vec<FragmentContext> {
     let parts = parts.max(1);
-    let total_events: u64 = infos.iter().map(|f| f.events as u64).sum();
+    let total_events: u64 = frames.iter().map(|f| f.events as u64).sum();
     let mut fragments = Vec::new();
     let mut frame_at = 0usize;
     let mut events_done = 0u64;
@@ -200,7 +72,7 @@ pub fn split_fragments(infos: &[FrameInfo], parts: usize) -> Vec<FragmentContext
     let mut seed_bitmap = Some(0u64);
     let mut seed_known = true; // all frames so far carried footers
     for part in 0..parts {
-        if frame_at >= infos.len() {
+        if frame_at >= frames.len() {
             break;
         }
         // Ideal cumulative share after this part; the boundary is the first
@@ -216,11 +88,11 @@ pub fn split_fragments(infos: &[FrameInfo], parts: usize) -> Vec<FragmentContext
         };
         let mut events = 0u64;
         let mut payload = Some(0u64);
-        while frame_at < infos.len() && (events_done < target || frame_at == start) {
-            let info = &infos[frame_at];
-            events += info.events as u64;
-            events_done += info.events as u64;
-            match info.index {
+        while frame_at < frames.len() && (events_done < target || frame_at == start) {
+            let frame = &frames[frame_at];
+            events += frame.events as u64;
+            events_done += frame.events as u64;
+            match frame.index {
                 Some(idx) => {
                     payload = payload.map(|p| p + idx.payload_bytes);
                     if idx.event_count > 0 {
@@ -243,8 +115,8 @@ pub fn split_fragments(infos: &[FrameInfo], parts: usize) -> Vec<FragmentContext
         } else {
             seed_payload = seed_payload.and_then(|p| payload.map(|q| p + q));
         }
-        let byte_start = infos[start].offset;
-        let byte_end = infos[frame_at - 1].offset + infos[frame_at - 1].len;
+        let byte_start = frames[start].offset;
+        let byte_end = frames[frame_at - 1].offset + frames[frame_at - 1].len;
         fragments.push(FragmentContext {
             index: part,
             frames: start..frame_at,
@@ -262,18 +134,18 @@ pub fn split_fragments(infos: &[FrameInfo], parts: usize) -> Vec<FragmentContext
     // loop's target arithmetic exhausted parts early on heavily skewed
     // frames).
     if let Some(last) = fragments.last_mut() {
-        if last.frames.end < infos.len() {
-            for info in &infos[last.frames.end..] {
-                last.events += info.events as u64;
-                match info.index {
+        if last.frames.end < frames.len() {
+            for frame in &frames[last.frames.end..] {
+                last.events += frame.events as u64;
+                match frame.index {
                     Some(idx) => {
                         last.payload_bytes = last.payload_bytes.map(|p| p + idx.payload_bytes);
                     }
                     None => last.payload_bytes = None,
                 }
             }
-            let tail = infos.last().expect("non-empty");
-            last.frames.end = infos.len();
+            let tail = frames.last().expect("non-empty");
+            last.frames.end = frames.len();
             last.bytes.end = tail.offset + tail.len;
         }
     }
@@ -282,7 +154,7 @@ pub fn split_fragments(infos: &[FrameInfo], parts: usize) -> Vec<FragmentContext
 
 /// Encodes events into a concatenated BTSF stream of `events_per_frame`
 /// frames (seq starting at 0) — the bridge from `.btd` dumps and in-memory
-/// drains into the fragment pipeline.
+/// drains into the store.
 pub fn encode_stream(events: &[FullEvent], events_per_frame: usize) -> Vec<u8> {
     encode_stream_with(events, events_per_frame, crate::FrameEncoding::Plain)
 }
@@ -305,77 +177,23 @@ pub fn encode_stream_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode_frame;
+    use crate::{encode_frame, TraceStore};
 
     fn ev(stamp: u64, core: u16, payload: usize) -> FullEvent {
         FullEvent { stamp, core, tid: 100 + core as u32, payload: vec![0x5A; payload] }
     }
 
-    fn stream_of(frames: &[Vec<FullEvent>]) -> Vec<u8> {
+    fn store_of(frames: &[Vec<FullEvent>]) -> TraceStore {
         let mut out = Vec::new();
         for (seq, events) in frames.iter().enumerate() {
             out.extend_from_slice(&encode_frame(seq as u64, events));
         }
-        out
+        TraceStore::from_bytes(out)
     }
 
-    #[test]
-    fn scan_reads_headers_and_footers_without_decoding() {
-        let frames = vec![
-            (0..5).map(|i| ev(i, (i % 2) as u16, 10 + i as usize)).collect::<Vec<_>>(),
-            vec![],
-            (5..12).map(|i| ev(i, 3, 8)).collect(),
-        ];
-        let bytes = stream_of(&frames);
-        let infos = scan_frames(&bytes).unwrap();
-        assert_eq!(infos.len(), 3);
-        assert_eq!(infos[0].seq, 0);
-        assert_eq!(infos[0].events, 5);
-        let idx = infos[0].index.expect("footer present");
-        assert_eq!(idx.min_stamp, 0);
-        assert_eq!(idx.max_stamp, 4);
-        assert_eq!(idx.core_bitmap, 0b11);
-        assert_eq!(idx.payload_bytes, (10..15).sum::<usize>() as u64);
-        let empty = infos[1].index.expect("footer present");
-        assert_eq!(empty.event_count, 0);
-        assert_eq!(empty.min_stamp, u64::MAX);
-        assert_eq!(infos[2].index.unwrap().core_bitmap, 0b1000);
-        // Byte ranges tile the stream exactly.
-        assert_eq!(infos[0].offset, 0);
-        assert_eq!(infos[2].offset + infos[2].len, bytes.len());
-    }
-
-    #[test]
-    fn scan_accepts_legacy_footerless_frames() {
-        // Hand-build a footer-less frame exactly as the old encoder did.
-        let events = [ev(7, 1, 16), ev(8, 1, 16)];
-        let mut body = Vec::new();
-        body.extend_from_slice(&3u64.to_le_bytes());
-        body.extend_from_slice(&(events.len() as u32).to_le_bytes());
-        for e in &events {
-            body.extend_from_slice(&e.stamp.to_le_bytes());
-            body.extend_from_slice(&e.core.to_le_bytes());
-            body.extend_from_slice(&e.tid.to_le_bytes());
-            body.extend_from_slice(&(e.payload.len() as u32).to_le_bytes());
-            body.extend_from_slice(&e.payload);
-        }
-        let mut frame = Vec::new();
-        frame.extend_from_slice(b"BTSF");
-        frame.extend_from_slice(&((body.len() + 8) as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        let crc = frame
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |c, &b| (c ^ b as u64).wrapping_mul(0x100_0000_01b3));
-        frame.extend_from_slice(&crc.to_le_bytes());
-
-        let infos = scan_frames(&frame).unwrap();
-        assert_eq!(infos.len(), 1);
-        assert_eq!(infos[0].seq, 3);
-        assert_eq!(infos[0].events, 2);
-        assert!(infos[0].index.is_none(), "legacy frame has no footer");
-        // And the legacy frame still fully decodes.
-        let decoded = decode_frames(&frame).unwrap();
-        assert_eq!(decoded[0].events, events);
+    /// Decodes a fragment's frames through the store.
+    fn decode(store: &TraceStore, frag: &FragmentContext) -> Vec<FullEvent> {
+        frag.frames.clone().flat_map(|i| store.decode_frame(i).expect("frame decodes")).collect()
     }
 
     #[test]
@@ -384,9 +202,8 @@ mod tests {
         let frames: Vec<Vec<FullEvent>> = (0..12)
             .map(|f| (f * 20..f * 20 + 20).map(|s| ev(s, (s % 4) as u16, 12)).collect())
             .collect();
-        let bytes = stream_of(&frames);
-        let infos = scan_frames(&bytes).unwrap();
-        let frags = split_fragments(&infos, 4);
+        let store = store_of(&frames);
+        let frags = split_fragments(store.frames(), 4);
         assert_eq!(frags.len(), 4);
         assert_eq!(frags.iter().map(|f| f.events).sum::<u64>(), 240);
         for f in &frags {
@@ -404,19 +221,17 @@ mod tests {
             assert_eq!(w[0].bytes.end, w[1].bytes.start);
             assert_eq!(w[0].frames.end, w[1].frames.start);
         }
-        assert_eq!(frags[3].bytes.end, bytes.len());
+        assert_eq!(frags[3].bytes.end, store.bytes().len());
         // Each fragment decodes independently.
-        let decoded = frags[1].decode(&bytes).unwrap();
-        assert_eq!(decoded.iter().map(|f| f.events.len()).sum::<usize>(), 60);
-        assert_eq!(decoded[0].events[0].stamp, 60);
+        let decoded = decode(&store, &frags[1]);
+        assert_eq!(decoded.len(), 60);
+        assert_eq!(decoded[0].stamp, 60);
     }
 
     #[test]
     fn split_handles_fewer_frames_than_parts() {
-        let frames = vec![(0..7).map(|s| ev(s, 0, 8)).collect::<Vec<_>>()];
-        let bytes = stream_of(&frames);
-        let infos = scan_frames(&bytes).unwrap();
-        let frags = split_fragments(&infos, 8);
+        let store = store_of(&[(0..7).map(|s| ev(s, 0, 8)).collect::<Vec<_>>()]);
+        let frags = split_fragments(store.frames(), 8);
         assert_eq!(frags.len(), 1);
         assert_eq!(frags[0].events, 7);
         assert!(split_fragments(&[], 4).is_empty());
@@ -440,9 +255,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let bytes = stream_of(&frames);
-        let infos = scan_frames(&bytes).unwrap();
-        let frags = split_fragments(&infos, 2);
+        let store = store_of(&frames);
+        let frags = split_fragments(store.frames(), 2);
         assert!(frags.len() <= 2);
         assert_eq!(frags.iter().map(|f| f.events).sum::<u64>(), 106);
         let max_frame = 50u64;
@@ -459,16 +273,10 @@ mod tests {
     #[test]
     fn encode_stream_round_trips_through_fragments() {
         let events: Vec<FullEvent> = (0..123).map(|s| ev(s, (s % 3) as u16, 9)).collect();
-        let bytes = encode_stream(&events, 25);
-        let infos = scan_frames(&bytes).unwrap();
-        assert_eq!(infos.len(), 5);
-        let frags = split_fragments(&infos, 3);
-        let mut round: Vec<FullEvent> = Vec::new();
-        for f in &frags {
-            for frame in f.decode(&bytes).unwrap() {
-                round.extend(frame.events);
-            }
-        }
+        let store = TraceStore::from_bytes(encode_stream(&events, 25));
+        assert_eq!(store.frames().len(), 5);
+        let frags = split_fragments(store.frames(), 3);
+        let round: Vec<FullEvent> = frags.iter().flat_map(|f| decode(&store, f)).collect();
         assert_eq!(round, events);
     }
 }

@@ -16,6 +16,13 @@
 //!   [`StreamConsumer`](btrace_core::StreamConsumer), with configurable
 //!   backpressure ([`Backpressure::Block`] vs
 //!   [`Backpressure::DropAndCount`]) and per-stage telemetry gauges.
+//! * [`TraceStore`] — the one BTSF reader: a memory-mapped file plus a
+//!   defect-tolerant frame directory built from headers and index footers.
+//!   [`decode_frames`] is the same reader with zero tolerance.
+//! * [`Query`] — the one read executor over a store: footer pruning, a
+//!   fragment split, per-frame decode and exact filtering on a worker pool,
+//!   and an ordered merge of analysis partials. Full analysis is the
+//!   unconstrained predicate ([`analyze_frames`]).
 //!
 //! ```rust
 //! use btrace_core::{BTrace, Config};
@@ -45,7 +52,6 @@ mod collector;
 mod dump;
 mod export;
 mod fragment;
-mod parallel;
 mod query;
 mod store;
 mod stream;
@@ -54,17 +60,13 @@ pub use collector::{Collector, CollectorConfig};
 pub use dump::{DumpError, TraceDump};
 pub use export::{read_jsonl, JsonlExporter, PrometheusExporter, RetryPolicy};
 pub use fragment::{
-    encode_stream, encode_stream_with, scan_frames, split_fragments, FragmentContext, FragmentSeed,
-    FrameIndex, FrameInfo,
+    encode_stream, encode_stream_with, split_fragments, FragmentContext, FragmentSeed,
 };
-pub use parallel::{
-    analyze_file, analyze_frames, analyze_frames_with, AnalyzeOptions, FragmentWork,
-    ParallelAnalysis,
+pub use query::{analyze_frames, FragmentWork, Predicate, Query, QueryOptions, QueryReport};
+pub use store::{
+    decode_frames, DefectKind, FrameDefect, FrameIndex, StoreFrame, StreamFrame, TraceStore,
 };
-pub use query::{Predicate, Query, QueryOptions, QueryReport};
-pub use store::{DefectKind, FrameDefect, StoreFrame, TraceStore};
 pub use stream::{
-    decode_frames, encode_frame, encode_frame_with, read_frames, Backpressure, FileFrameSink,
-    FrameEncoding, FrameSink, NullFrameSink, PipelineConfig, PipelineStats, StreamFrame,
-    StreamPipeline,
+    encode_frame, encode_frame_with, Backpressure, FileFrameSink, FrameEncoding, FrameSink,
+    NullFrameSink, PipelineConfig, PipelineStats, StreamPipeline,
 };

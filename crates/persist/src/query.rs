@@ -1,32 +1,47 @@
-//! Predicate queries over a [`TraceStore`].
+//! The one read executor: predicate queries and full analysis over a
+//! [`TraceStore`].
 //!
 //! A [`Predicate`] restricts a query to a time range, a core set, and/or an
-//! atrace category mask. The [`Query`] planner resolves it in two stages:
+//! atrace category mask; the unconstrained `Predicate::default()` *is* full
+//! analysis. [`Query::run`] resolves it in four stages:
 //!
-//! 1. **Prune** against the frame directory: a frame whose `FIDX` footer
+//! 1. **Plan** against the frame directory: a frame whose `FIDX` footer
 //!    proves its stamp range or core bitmap cannot intersect the predicate
 //!    is never decoded. Footer-less legacy frames cannot be pruned and are
 //!    always decoded. Category predicates prune nothing at the frame level
 //!    (footers carry no category information) — they filter per event after
 //!    decode.
-//! 2. **Filter + fold**: each surviving frame is decoded (checksummed), its
-//!    events are filtered by the *exact* predicate, and the survivors feed
-//!    the same monoid partials ([`TracePartial`]) the fragment-parallel
-//!    analyzer uses — so `btrace query` and a predicate-pruned
-//!    [`analyze_frames`](crate::analyze_frames) are one execution path, and
-//!    both are bit-identical to a linear full-decode-then-filter oracle by
-//!    the monoid's `map ∘ concat = merge ∘ map` law.
+//! 2. **Split** the planned frames into fragments of near-equal event count
+//!    ([`split_fragments`]), one per worker thread unless
+//!    [`QueryOptions::fragments`] says otherwise.
+//! 3. **Map** each fragment on a scoped worker pool: decode every frame
+//!    (checksummed), filter its events by the *exact* predicate, and fold the
+//!    survivors into one [`TracePartial`] per frame plus the fragment's
+//!    [`TraceState`].
+//! 4. **Merge** the partials in order and finish the metrics and gap map.
+//!    For the unconstrained predicate, the boundary hand-off check also
+//!    compares each fragment's footer-seeded entry state with the decoded
+//!    prefix ([`QueryReport::handoff`]).
+//!
+//! With `threads = 1` and the default `fragments` everything runs on the
+//! calling thread as one fragment: one partial per frame, reduced pairwise. Every partial is a monoid
+//! homomorphism (`map ∘ concat = merge ∘ map`), so any thread/fragment shape
+//! is bit-identical to that run and to a linear full-decode-then-filter
+//! oracle.
 //!
 //! Frame corruption never aborts a query: each damaged frame becomes a
 //! [`FrameDefect`] in the report and the rest of the file still answers.
 
-use btrace_analysis::{tree_merge, GapMapOptions, TraceAnalysis, TracePartial};
+use std::io;
+use std::time::Instant;
+
+use btrace_analysis::{map_reduce, tree_merge, GapMapOptions, TraceAnalysis, TracePartial};
 use btrace_atrace::{Category, OwnedEvent};
 use btrace_core::event::encoded_len;
 use btrace_core::sink::{CollectedEvent, FullEvent};
-use btrace_replay::TraceState;
+use btrace_replay::{check_handoff, BoundaryDefect, BoundaryExpectation, TraceState};
 
-use crate::fragment::{FrameIndex, FrameInfo};
+use crate::fragment::{split_fragments, FragmentContext};
 use crate::store::{FrameDefect, StoreFrame, TraceStore};
 
 /// What a query is looking for. `Default` matches every event.
@@ -55,12 +70,12 @@ impl Predicate {
         self.cores.iter().fold(0u64, |b, &c| b | 1u64 << (c as u64).min(63))
     }
 
-    /// Frame-level admission from an index footer alone: conservative, may
-    /// admit frames that hold no matching event, but never rejects a frame
-    /// that does. `None` (a legacy footer-less frame) always admits — such
-    /// frames must be decoded to be judged.
-    pub fn admits_index(&self, index: Option<&FrameIndex>) -> bool {
-        let Some(idx) = index else { return true };
+    /// Frame-level admission from the directory entry's index footer alone:
+    /// conservative, may admit frames that hold no matching event, but never
+    /// rejects a frame that does. A legacy footer-less frame always admits —
+    /// it must be decoded to be judged.
+    pub fn admits_frame(&self, frame: &StoreFrame) -> bool {
+        let Some(idx) = frame.index else { return true };
         if idx.event_count == 0 {
             return false;
         }
@@ -69,17 +84,6 @@ impl Predicate {
             return false;
         }
         idx.core_bitmap & self.core_bitmap() != 0
-    }
-
-    /// Whether a directory entry's frame may hold matching events.
-    pub fn admits_frame(&self, frame: &StoreFrame) -> bool {
-        self.admits_index(frame.index.as_ref())
-    }
-
-    /// Whether a scanned frame may hold matching events (the fragment-path
-    /// twin of [`Predicate::admits_frame`]).
-    pub fn admits_info(&self, info: &FrameInfo) -> bool {
-        self.admits_index(info.index.as_ref())
     }
 
     /// Exact event-level match.
@@ -100,9 +104,13 @@ impl Predicate {
     }
 }
 
-/// Output shaping for [`Query::run`].
+/// Execution and output shaping for [`Query::run`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOptions {
+    /// Worker threads (1 = everything on the calling thread).
+    pub threads: usize,
+    /// Fragments to split the planned frames into; 0 means one per thread.
+    pub fragments: usize,
     /// Tracer buffer capacity for the effectivity ratio (0 if unknown).
     pub capacity_bytes: usize,
     /// Busiest-thread table size.
@@ -116,17 +124,45 @@ pub struct QueryOptions {
 
 impl Default for QueryOptions {
     fn default() -> Self {
-        Self { capacity_bytes: 0, top_threads: 8, gap_map: None, collect_events: false }
+        Self {
+            threads: 1,
+            fragments: 0,
+            capacity_bytes: 0,
+            top_threads: 8,
+            gap_map: None,
+            collect_events: false,
+        }
     }
 }
 
-/// A planned query: predicate plus output options.
+/// A planned query: predicate plus execution options.
 #[derive(Debug, Clone, Default)]
 pub struct Query {
     /// The restriction to resolve.
     pub predicate: Predicate,
-    /// Output shaping.
+    /// Execution and output shaping.
     pub options: QueryOptions,
+}
+
+/// One fragment's work counters and exit state — the partition-balance
+/// evidence a host with fewer CPUs than workers reports in place of
+/// wall-clock speedup.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct FragmentWork {
+    /// Fragment position.
+    pub fragment: usize,
+    /// Frames decoded (or found defective).
+    pub frames: usize,
+    /// Events that matched the predicate.
+    pub events: u64,
+    /// Stream bytes of the fragment's frames.
+    pub bytes: u64,
+    /// Nanoseconds spent decoding + mapping this fragment.
+    pub busy_ns: u64,
+    /// Trace state over the fragment's matched events (raw payload-byte
+    /// accounting, matching the frame index footers).
+    pub state: TraceState,
 }
 
 /// What [`Query::run`] found.
@@ -138,7 +174,8 @@ pub struct QueryReport {
     pub events: Vec<FullEvent>,
     /// Number of matched events (counted even when events are not kept).
     pub matched_events: u64,
-    /// Retention metrics over the matched events.
+    /// Retention metrics over the matched events (stored-byte accounting,
+    /// as a live drain would report).
     pub analysis: TraceAnalysis,
     /// Reconstructed trace state over the matched events.
     pub state: TraceState,
@@ -155,10 +192,26 @@ pub struct QueryReport {
     /// Structural defects from open plus content defects from the frames
     /// this query touched.
     pub defects: Vec<FrameDefect>,
+    /// Per-fragment work counters, in fragment order.
+    pub work: Vec<FragmentWork>,
+    /// Boundary hand-off defects: where the frame index's promises disagree
+    /// with what the fragments actually decoded. Checked only for the
+    /// unconstrained predicate (the promises describe the whole file, which
+    /// a restricted query by design does not reproduce); empty for a
+    /// healthy trace.
+    pub handoff: Vec<BoundaryDefect>,
+}
+
+/// One fragment's mapped share of a run.
+struct FragmentOutput {
+    partial: Option<TracePartial>,
+    events: Vec<FullEvent>,
+    defects: Vec<FrameDefect>,
+    work: FragmentWork,
 }
 
 impl Query {
-    /// A query for `predicate` with default output options.
+    /// A query for `predicate` with default options.
     pub fn new(predicate: Predicate) -> Self {
         Self { predicate, options: QueryOptions::default() }
     }
@@ -178,15 +231,84 @@ impl Query {
     /// Resolves the query against `store`.
     pub fn run(&self, store: &TraceStore) -> QueryReport {
         let plan = self.plan(store);
+        let planned: Vec<StoreFrame> = plan.iter().map(|&i| store.frames()[i]).collect();
+        let threads = self.options.threads.max(1);
+        let parts = if self.options.fragments == 0 { threads } else { self.options.fragments };
+        let fragments = split_fragments(&planned, parts);
+        let outputs =
+            map_reduce(&fragments, threads, |_, frag| self.run_fragment(store, &plan, frag));
+
         let mut defects = store.defects().to_vec();
         let mut events = Vec::new();
-        let mut matched_events = 0u64;
+        let mut partials = Vec::with_capacity(outputs.len());
+        let mut work = Vec::with_capacity(outputs.len());
+        for out in outputs {
+            defects.extend(out.defects);
+            events.extend(out.events);
+            partials.extend(out.partial);
+            work.push(out.work);
+        }
+        let states: Vec<TraceState> = work.iter().map(|w| w.state.clone()).collect();
+        let handoff = if self.predicate == Predicate::default() {
+            let expectations: Vec<BoundaryExpectation> = fragments
+                .iter()
+                .map(|f| BoundaryExpectation {
+                    fragment: f.index,
+                    events_before: f.seed.events_before,
+                    bytes_before: f.seed.payload_bytes_before,
+                    max_stamp_before: f.seed.max_stamp_before,
+                    core_bitmap_before: f.seed.core_bitmap_before,
+                })
+                .collect();
+            check_handoff(&states, &expectations)
+        } else {
+            Vec::new()
+        };
+        let state = states.into_iter().fold(TraceState::empty(), TraceState::merge);
+        let merged = tree_merge(partials, TracePartial::merge).unwrap_or_default();
+        let newest_stamp = merged.metrics.newest();
+        let gap_map = self.options.gap_map.and_then(|gopts| {
+            newest_stamp.map(|newest| {
+                let stamps: Vec<u64> = merged.metrics.stamps().collect();
+                btrace_analysis::gap_map(&stamps, newest, gopts)
+            })
+        });
+        let analysis = merged.finish(self.options.capacity_bytes, self.options.top_threads);
+        QueryReport {
+            events,
+            matched_events: state.events,
+            analysis,
+            state,
+            gap_map,
+            newest_stamp,
+            frames_total: store.frames().len(),
+            frames_decoded: plan.len(),
+            frames_pruned: store.frames().len() - plan.len(),
+            defects,
+            work,
+            handoff,
+        }
+    }
+
+    /// Decodes, filters, and maps one fragment of the plan: one partial per
+    /// frame, reduced pairwise (a linear fold over a growing accumulator
+    /// would be quadratic in frames; associativity makes the result
+    /// identical, pinned in btrace-analysis).
+    fn run_fragment(
+        &self,
+        store: &TraceStore,
+        plan: &[usize],
+        frag: &FragmentContext,
+    ) -> FragmentOutput {
+        let t0 = Instant::now();
+        let mut events = Vec::new();
+        let mut defects = Vec::new();
+        let mut partials = Vec::new();
         let mut state = TraceState::empty();
-        let mut partials: Vec<TracePartial> = Vec::new();
-        let mut frames_decoded = 0usize;
-        for idx in &plan {
-            frames_decoded += 1;
-            let decoded = match store.decode_frame(*idx) {
+        let mut bytes = 0u64;
+        for &idx in &plan[frag.frames.clone()] {
+            bytes += store.frames()[idx].len as u64;
+            let decoded = match store.decode_frame(idx) {
                 Ok(decoded) => decoded,
                 Err(defect) => {
                     defects.push(defect);
@@ -198,7 +320,6 @@ impl Query {
                 if !self.predicate.admits_event(&e) {
                     continue;
                 }
-                matched_events += 1;
                 collected.push(CollectedEvent {
                     stamp: e.stamp,
                     core: e.core,
@@ -214,30 +335,37 @@ impl Query {
                 partials.push(TracePartial::map(&collected));
             }
         }
-        // One partial per frame: a linear fold over a growing accumulator
-        // would be quadratic in frames, so reduce pairwise (associativity
-        // makes the result identical, pinned in btrace-analysis).
-        let merged = tree_merge(partials, TracePartial::merge).unwrap_or_default();
-        let newest_stamp = merged.metrics.newest();
-        let gap_map = self.options.gap_map.and_then(|gopts| {
-            newest_stamp.map(|newest| {
-                let stamps: Vec<u64> = merged.metrics.stamps().collect();
-                btrace_analysis::gap_map(&stamps, newest, gopts)
-            })
-        });
-        let analysis = merged.finish(self.options.capacity_bytes, self.options.top_threads);
-        QueryReport {
+        FragmentOutput {
+            partial: tree_merge(partials, TracePartial::merge),
             events,
-            matched_events,
-            analysis,
-            state,
-            gap_map,
-            newest_stamp,
-            frames_total: store.frames().len(),
-            frames_decoded,
-            frames_pruned: store.frames().len() - plan.len(),
             defects,
+            work: FragmentWork {
+                fragment: frag.index,
+                frames: frag.frames.len(),
+                events: state.events,
+                bytes,
+                busy_ns: t0.elapsed().as_nanos() as u64,
+                state,
+            },
         }
+    }
+}
+
+/// Full analysis of an in-memory BTSF stream: a store over a copy of
+/// `bytes`, the unconstrained query under `options`, and an error on any
+/// frame defect. Boundary hand-off defects are reported in
+/// [`QueryReport::handoff`], not as errors.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] for the first structural or content
+/// defect in the stream.
+pub fn analyze_frames(bytes: &[u8], options: QueryOptions) -> io::Result<QueryReport> {
+    let store = TraceStore::from_bytes(bytes.to_vec());
+    let report = Query { predicate: Predicate::default(), options }.run(&store);
+    match report.defects.first() {
+        Some(defect) => Err(defect.clone().into()),
+        None => Ok(report),
     }
 }
 
@@ -351,6 +479,155 @@ mod tests {
             })
             .collect();
         assert_eq!(report.analysis, TracePartial::map(&collected).finish(0, 8));
+    }
+
+    fn events(n: u64) -> Vec<FullEvent> {
+        (0..n)
+            .filter(|s| s % 97 != 13) // sprinkle gaps
+            .map(|s| FullEvent {
+                stamp: s,
+                core: (s % 6) as u16,
+                tid: 200 + (s % 9) as u32,
+                payload: vec![0xC3; 8 + (s % 40) as usize],
+            })
+            .collect()
+    }
+
+    fn collected(evs: &[FullEvent]) -> Vec<CollectedEvent> {
+        evs.iter()
+            .map(|e| CollectedEvent {
+                stamp: e.stamp,
+                core: e.core,
+                tid: e.tid,
+                stored_bytes: encoded_len(e.payload.len()) as u32,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parallel_matches_sequential_and_legacy() {
+        let evs = events(3000);
+        let stream = crate::encode_stream(&evs, 128);
+        let gap = GapMapOptions { window: 2000, width: 40 };
+        let base =
+            QueryOptions { capacity_bytes: 1 << 18, gap_map: Some(gap), ..Default::default() };
+        let seq = analyze_frames(&stream, base).unwrap();
+        assert!(seq.handoff.is_empty(), "healthy stream: {:?}", seq.handoff);
+        for threads in [2, 4, 8] {
+            let par =
+                analyze_frames(&stream, QueryOptions { threads, fragments: 7, ..base }).unwrap();
+            assert_eq!(par.analysis, seq.analysis);
+            assert_eq!(par.state, seq.state);
+            assert_eq!(par.gap_map, seq.gap_map);
+            assert!(par.handoff.is_empty());
+            assert_eq!(par.work.iter().map(|w| w.events).sum::<u64>(), evs.len() as u64);
+        }
+        // And against the legacy single-pass analysis.
+        let c = collected(&evs);
+        assert_eq!(seq.analysis.metrics, btrace_analysis::analyze(&c, 1 << 18));
+        assert_eq!(seq.analysis.per_core, btrace_analysis::by_core(&c));
+        assert_eq!(seq.analysis.per_thread, btrace_analysis::by_thread(&c, 8));
+        let stamps: Vec<u64> = c.iter().map(|e| e.stamp).collect();
+        let newest = seq.newest_stamp.unwrap();
+        assert_eq!(seq.gap_map.as_deref().unwrap(), btrace_analysis::gap_map(&stamps, newest, gap));
+    }
+
+    #[test]
+    fn corrupted_index_is_a_handoff_defect_not_a_panic() {
+        let evs = events(600);
+        let mut stream = crate::encode_stream(&evs, 50);
+        // Lie in frame 2's footer max_stamp, then re-seal the crc so only
+        // the index (not the payload) is corrupt.
+        let f = TraceStore::from_bytes(stream.clone()).frames()[2];
+        let footer_off = f.offset + f.len - 8 - crate::stream::FOOTER_BYTES;
+        let max_off = footer_off + 4 + 8;
+        stream[max_off..max_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let crc = crate::stream::fnv(&stream[f.offset..f.offset + f.len - 8]);
+        let crc_off = f.offset + f.len - 8;
+        stream[crc_off..crc_off + 8].copy_from_slice(&crc.to_le_bytes());
+
+        let out = analyze_frames(
+            &stream,
+            QueryOptions { threads: 2, fragments: 6, ..Default::default() },
+        )
+        .unwrap();
+        assert!(
+            out.handoff.iter().any(|d| d.field == "max_stamp_before"),
+            "lying index must surface as a hand-off defect: {:?}",
+            out.handoff
+        );
+    }
+
+    #[test]
+    fn work_counters_balance_on_uniform_streams() {
+        let stream = crate::encode_stream(&events(4000), 64);
+        let out =
+            analyze_frames(&stream, QueryOptions { threads: 4, ..Default::default() }).unwrap();
+        assert_eq!(out.work.len(), 4);
+        let max = out.work.iter().map(|w| w.events).max().unwrap();
+        let min = out.work.iter().map(|w| w.events).min().unwrap();
+        assert!(
+            (max - min) as f64 <= 0.2 * max as f64,
+            "uniform stream must split within 20%: max {max} min {min}"
+        );
+    }
+
+    #[test]
+    fn thread_shapes_agree_under_a_predicate_and_corruption() {
+        let evs = events(2500);
+        for encoding in [FrameEncoding::Plain, FrameEncoding::Compressed] {
+            let mut bytes = encode_stream_with(&evs, 100, encoding);
+            // One damaged frame inside the predicate's range.
+            let victim = TraceStore::from_bytes(bytes.clone()).frames()[8];
+            bytes[victim.offset + victim.len / 2] ^= 0x5A;
+            let store = TraceStore::from_bytes(bytes);
+            let predicate = Predicate {
+                since: Some(400),
+                until: Some(1700),
+                cores: vec![0, 2, 5],
+                ..Default::default()
+            };
+            let options = QueryOptions {
+                capacity_bytes: 1 << 16,
+                gap_map: Some(GapMapOptions { window: 1000, width: 30 }),
+                ..Default::default()
+            };
+            let sequential = Query { predicate: predicate.clone(), options }.run(&store);
+            assert!(sequential.frames_pruned > 0, "time slice must prune frames");
+            assert_eq!(sequential.defects.len(), 1, "{:?}", sequential.defects);
+            assert!(sequential.handoff.is_empty(), "hand-off check is skipped under a predicate");
+            let parallel = Query {
+                predicate: predicate.clone(),
+                options: QueryOptions { threads: 3, fragments: 8, ..options },
+            }
+            .run(&store);
+            assert_eq!(parallel.analysis, sequential.analysis);
+            assert_eq!(parallel.state, sequential.state);
+            assert_eq!(parallel.gap_map, sequential.gap_map);
+            assert_eq!(parallel.newest_stamp, sequential.newest_stamp);
+            assert_eq!(parallel.defects, sequential.defects);
+
+            // And both equal the linear oracle over the intact frames.
+            let matched: Vec<FullEvent> = (0..store.frames().len())
+                .filter_map(|i| store.decode_frame(i).ok())
+                .flatten()
+                .filter(|e| predicate.admits_event(e))
+                .collect();
+            assert_eq!(
+                sequential.analysis,
+                TracePartial::map(&collected(&matched)).finish(1 << 16, 8)
+            );
+        }
+    }
+
+    #[test]
+    fn empty_stream_analyzes_to_empty() {
+        let out = analyze_frames(&[], QueryOptions::default()).unwrap();
+        assert_eq!(out.frames_total, 0);
+        assert!(out.state.is_empty());
+        assert_eq!(out.analysis.metrics, btrace_analysis::Metrics::empty());
+        assert!(out.handoff.is_empty());
+        assert!(analyze_frames(b"BTSF", QueryOptions::default()).is_err());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use btrace_telemetry::{
     EventKind, ExportIoStats, FlightRecorder, Histogram, StageHealth, STAGE_NAMES,
 };
 use std::collections::VecDeque;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -247,7 +247,8 @@ fn unzigzag(z: u64) -> i64 {
 ///
 /// The footer sits at a fixed offset from the frame end, inside the
 /// crc-covered region. Frames written before the footer existed simply end
-/// their body at the last event; [`decode_frames`] accepts both.
+/// their body at the last event; [`decode_frames`](crate::decode_frames)
+/// accepts both.
 pub fn encode_frame(seq: u64, events: &[FullEvent]) -> Vec<u8> {
     encode_frame_with(seq, events, FrameEncoding::Plain)
 }
@@ -318,15 +319,6 @@ pub fn encode_frame_with(seq: u64, events: &[FullEvent], encoding: FrameEncoding
     frame
 }
 
-/// One decoded frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamFrame {
-    /// Frame sequence number assigned by the encode stage.
-    pub seq: u64,
-    /// The batch's events.
-    pub events: Vec<FullEvent>,
-}
-
 fn bad_data(reason: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
 }
@@ -390,69 +382,6 @@ pub(crate) fn decode_events(
         events.push(FullEvent { stamp, core, tid, payload });
     }
     Ok(events)
-}
-
-/// Decodes every frame in `bytes` (the inverse of [`encode_frame`] /
-/// [`encode_frame_with`] — both revisions, freely interleaved).
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] on bad magic, truncation, or checksum
-/// mismatch — a torn stream tail is corruption, not silence.
-pub fn decode_frames(mut bytes: &[u8]) -> io::Result<Vec<StreamFrame>> {
-    let bad = bad_data;
-    let mut frames = Vec::new();
-    while !bytes.is_empty() {
-        if bytes.len() < 8 || &bytes[..4] != FRAME_MAGIC {
-            return Err(bad("bad frame magic"));
-        }
-        let body_len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-        if bytes.len() < 8 + body_len || body_len < 20 {
-            return Err(bad("truncated frame"));
-        }
-        let (frame, rest) = bytes.split_at(8 + body_len);
-        let crc_stored = u64::from_le_bytes(frame[8 + body_len - 8..].try_into().expect("8 bytes"));
-        if fnv(&frame[..8 + body_len - 8]) != crc_stored {
-            return Err(bad("frame checksum mismatch"));
-        }
-        let mut r = &frame[8..8 + body_len - 8];
-        let seq = u64::from_le_bytes(take(&mut r, 8)?.try_into().expect("8 bytes"));
-        let raw_count = u32::from_le_bytes(take(&mut r, 4)?.try_into().expect("4 bytes"));
-        let compressed = raw_count & FRAME_FLAG_COMPRESSED != 0;
-        let count = raw_count & !FRAME_FLAG_COMPRESSED;
-        let events = decode_events(&mut r, count as usize, compressed)?;
-        // Footer-bearing frames leave exactly one index footer after the
-        // events; footer-less frames (written before the footer existed)
-        // leave nothing. Compressed frames always carry a footer by
-        // construction. Anything else is corruption.
-        if compressed && r.is_empty() {
-            return Err(bad("compressed frame missing footer"));
-        }
-        if !r.is_empty() {
-            if r.len() != FOOTER_BYTES || &r[..4] != FOOTER_MAGIC {
-                return Err(bad("frame body overrun"));
-            }
-            let footer_count = u32::from_le_bytes(r[28..32].try_into().expect("4 bytes"));
-            if footer_count != count {
-                return Err(bad("frame footer count mismatch"));
-            }
-        }
-        frames.push(StreamFrame { seq, events });
-        bytes = rest;
-    }
-    Ok(frames)
-}
-
-/// Reads a frame file written by a [`FileFrameSink`].
-///
-/// # Errors
-///
-/// I/O errors reading the file; [`io::ErrorKind::InvalidData`] on
-/// corruption.
-pub fn read_frames(path: impl AsRef<Path>) -> io::Result<Vec<StreamFrame>> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    decode_frames(&bytes)
 }
 
 /// Lock-free-readable throughput counters for one stage.
@@ -1093,6 +1022,7 @@ fn spawn_sink(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode_frames;
     use btrace_core::Config;
 
     fn tracer() -> Arc<BTrace> {
@@ -1322,7 +1252,7 @@ mod tests {
     }
 
     #[test]
-    fn file_sink_roundtrips_through_read_frames() {
+    fn file_sink_roundtrips_through_decode_frames() {
         let dir = std::env::temp_dir().join(format!("btrace-stream-file-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.btsf");
@@ -1338,7 +1268,7 @@ mod tests {
         }
         let stats = pipeline.stop();
         assert!(stats.frames_written > 0);
-        let frames = read_frames(&path).unwrap();
+        let frames = crate::decode_frames(&std::fs::read(&path).unwrap()).unwrap();
         let events: Vec<&FullEvent> = frames.iter().flat_map(|f| f.events.iter()).collect();
         assert_eq!(events.len(), 500);
         assert!(events.iter().all(|e| e.payload == b"to disk" && e.tid == 7));

@@ -18,7 +18,7 @@
 use btrace::atrace::{Atrace, Level, OwnedEvent, TraceEvent};
 use btrace::core::{BTrace, Config};
 use btrace::persist::{
-    analyze_frames, encode_stream, AnalyzeOptions, Collector, CollectorConfig, TraceDump,
+    analyze_frames, encode_stream, Collector, CollectorConfig, QueryOptions, TraceDump,
 };
 use std::sync::Arc;
 
@@ -92,16 +92,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // bit-identical to the sequential readout, with the boundary hand-off
     // check vouching that no fragment was lost between workers.
     let frames = encode_stream(TraceDump::read_from(&dump_path)?.events(), 512);
-    let parallel = analyze_frames(&frames, &AnalyzeOptions { threads: 4, ..Default::default() })?;
-    let sequential = analyze_frames(&frames, &AnalyzeOptions::default())?;
+    let parallel = analyze_frames(&frames, QueryOptions { threads: 4, ..Default::default() })?;
+    let sequential = analyze_frames(&frames, QueryOptions::default())?;
     assert_eq!(parallel.analysis, sequential.analysis, "parallel triage must be bit-identical");
-    assert!(parallel.defects.is_empty(), "healthy dump must hand off cleanly between fragments");
+    assert!(parallel.handoff.is_empty(), "healthy dump must hand off cleanly between fragments");
     println!(
-        "fragment-parallel triage: {} events in {} fragments on {} threads, {} hand-off defects",
+        "fragment-parallel triage: {} events in {} fragments on 4 threads, {} hand-off defects",
         parallel.state.events,
         parallel.work.len(),
-        parallel.threads,
-        parallel.defects.len()
+        parallel.handoff.len()
     );
 
     // Offline analysis connects the chain backwards.

@@ -22,7 +22,7 @@ use btrace::analysis::{analyze, by_core, by_thread, fold_merge, GapMapOptions, T
 use btrace::core::event::encoded_len;
 use btrace::core::sink::{CollectedEvent, FullEvent};
 use btrace::core::{BTrace, Backing, Config, TraceError};
-use btrace::persist::{analyze_frames, decode_frames, encode_frame, AnalyzeOptions};
+use btrace::persist::{analyze_frames, decode_frames, encode_frame, QueryOptions};
 use btrace::vmem::FaultPlan;
 use proptest::prelude::*;
 
@@ -177,19 +177,19 @@ fn build_stream(seed: u64) -> Vec<u8> {
 fn run_parallel_vs_sequential(seed: u64) {
     let bytes = build_stream(seed);
 
-    let mut ref_opts = AnalyzeOptions::default();
-    let probe = analyze_frames(&bytes, &ref_opts).expect("stream decodes");
+    let mut ref_opts = QueryOptions::default();
+    let probe = analyze_frames(&bytes, ref_opts).expect("stream decodes");
     if !probe.state.is_empty() {
         // Window the gap map to the observed stamp range so the rendered
         // string is part of the bit-identical surface too.
         let window = probe.state.last_stamp - probe.state.first_stamp + 1;
         ref_opts.gap_map = Some(GapMapOptions { window, width: 64 });
     }
-    let reference = analyze_frames(&bytes, &ref_opts).expect("stream decodes");
+    let reference = analyze_frames(&bytes, ref_opts).expect("stream decodes");
     assert!(
-        reference.defects.is_empty(),
+        reference.handoff.is_empty(),
         "seed {seed}: healthy trace reported hand-off defects: {:?}",
-        reference.defects
+        reference.handoff
     );
 
     // Pin the fragment pipeline to the historical flat-decode semantics.
@@ -217,8 +217,8 @@ fn run_parallel_vs_sequential(seed: u64) {
     );
 
     for (threads, fragments) in [(2, 0), (3, 0), (4, 7), (8, 5), (4, 13)] {
-        let opts = AnalyzeOptions { threads, fragments, ..ref_opts };
-        let out = analyze_frames(&bytes, &opts).expect("stream decodes");
+        let opts = QueryOptions { threads, fragments, ..ref_opts };
+        let out = analyze_frames(&bytes, opts).expect("stream decodes");
         assert_eq!(
             out.analysis, reference.analysis,
             "seed {seed}: K={threads} F={fragments} analysis diverged from sequential"
@@ -232,14 +232,14 @@ fn run_parallel_vs_sequential(seed: u64) {
             "seed {seed}: K={threads} F={fragments} gap map diverged"
         );
         assert!(
-            out.defects.is_empty(),
+            out.handoff.is_empty(),
             "seed {seed}: K={threads} F={fragments} invented hand-off defects: {:?}",
-            out.defects
+            out.handoff
         );
         let remerged = out
-            .per_fragment_state
+            .work
             .iter()
-            .cloned()
+            .map(|w| w.state.clone())
             .fold(btrace::replay::TraceState::empty(), |a, b| a.merge(b));
         assert_eq!(
             remerged, out.state,
@@ -351,11 +351,11 @@ proptest! {
                 .collect();
             bytes.extend_from_slice(&encode_frame(seq, &events));
         }
-        let reference = analyze_frames(&bytes, &AnalyzeOptions::default()).expect("decodes");
-        let opts = AnalyzeOptions { threads, fragments, ..AnalyzeOptions::default() };
-        let out = analyze_frames(&bytes, &opts).expect("decodes");
+        let reference = analyze_frames(&bytes, QueryOptions::default()).expect("decodes");
+        let opts = QueryOptions { threads, fragments, ..QueryOptions::default() };
+        let out = analyze_frames(&bytes, opts).expect("decodes");
         prop_assert_eq!(&out.analysis, &reference.analysis);
         prop_assert_eq!(&out.state, &reference.state);
-        prop_assert!(out.defects.is_empty());
+        prop_assert!(out.handoff.is_empty());
     }
 }

@@ -87,14 +87,15 @@ fn mixed_writers_on_one_buffer() {
 }
 
 #[test]
-fn tail_reader_streams_typed_events() {
+fn stream_consumer_streams_typed_events() {
     let sink = tracer();
-    let mut tail = sink.tail();
+    let mut stream = sink.stream();
     let a = Atrace::new(sink, Category::ALL);
     a.event(0, 1, TraceEvent::FreqChange { cpu: 0, khz: 2_000_000 });
-    let polled = tail.poll();
+    // The event sits in a still-open block: closing it hands it off.
+    let polled = stream.flush_close();
     assert_eq!(polled.events.len(), 1);
     let decoded = OwnedEvent::decode(polled.events[0].payload()).expect("typed payload");
     assert_eq!(decoded, OwnedEvent::FreqChange { cpu: 0, khz: 2_000_000 });
-    assert!(tail.poll().events.is_empty());
+    assert!(stream.poll().events.is_empty());
 }

@@ -20,7 +20,7 @@ use btrace::core::sink::TraceSink;
 use btrace::core::{BTrace, Backing, Config, TraceError, TracerState};
 use btrace::vmem::{FaultPlan, FaultStats};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const CORES: usize = 4;
 const BLOCK: usize = 1024;
@@ -93,18 +93,28 @@ fn run_storm(seed: u64) {
     let plan = storm_plan(seed);
     let tracer = storm_tracer(plan);
     let stop = Arc::new(AtomicBool::new(false));
+    // Start gate: the storm begins only once every writer has recorded, so
+    // a writer the scheduler has not yet run cannot finish with zero
+    // records on a host with fewer CPUs than threads.
+    let started = Arc::new(Barrier::new(CORES + 1));
 
     let writers: Vec<_> = (0..CORES)
         .map(|core| {
             let producer = tracer.producer(core).expect("producer");
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                let record = |i: u64| {
                     let stamp = (core as u64) << 32 | i;
                     producer
                         .record_with(stamp, core as u32, b"payload under fault storm")
                         .expect("producers must keep recording through backing faults");
+                };
+                record(0);
+                started.wait();
+                let mut i = 1u64;
+                while !stop.load(Ordering::Relaxed) {
+                    record(i);
                     i += 1;
                 }
                 i
@@ -112,6 +122,7 @@ fn run_storm(seed: u64) {
         })
         .collect();
 
+    started.wait();
     let fallbacks = resize_storm(&tracer, 30);
 
     stop.store(true, Ordering::Relaxed);

@@ -10,10 +10,11 @@
 
 use btrace::analysis::diagnose;
 use btrace::core::{BTrace, Backing, Config, FaultPlan};
-use btrace::persist::{Backpressure, NullFrameSink, PipelineConfig, StreamPipeline};
+use btrace::persist::{Backpressure, FrameSink, PipelineConfig, StreamPipeline};
 use btrace::telemetry::EventKind;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 const BLOCK: usize = 1024;
@@ -74,14 +75,31 @@ fn every_injected_fault_appears_in_the_flight_recorder() {
     assert_eq!(fault_counts, expected, "fault events must carry cumulative counts");
 }
 
+/// A sink that holds every write until the gate opens, so the depth-1
+/// queues in front of it fill and shed no matter how the threads are
+/// scheduled.
+struct GatedSink(Arc<(Mutex<bool>, Condvar)>);
+
+impl FrameSink for GatedSink {
+    fn write_frame(&mut self, _frame: &[u8]) -> io::Result<()> {
+        let (open, opened) = &*self.0;
+        let mut open = open.lock().expect("gate lock is never poisoned");
+        while !*open {
+            open = opened.wait(open).expect("gate lock is never poisoned");
+        }
+        Ok(())
+    }
+}
+
 #[test]
 fn doctor_diagnoses_a_live_fault_storm() {
     let t = Arc::new(storm_tracer(0x5EED));
-    // A depth-1 shedding pipeline under spinning producers: loss is
-    // guaranteed to show up as recorder StageDrop events.
+    // A depth-1 shedding pipeline whose sink is held shut while producers
+    // spin: loss is guaranteed to show up as recorder StageDrop events.
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let pipeline = StreamPipeline::spawn(
         Arc::clone(&t),
-        Box::new(NullFrameSink::default()),
+        Box::new(GatedSink(Arc::clone(&gate))),
         PipelineConfig {
             poll_interval: Duration::from_millis(1),
             queue_depth: 1,
@@ -110,6 +128,8 @@ fn doctor_diagnoses_a_live_fault_storm() {
         std::thread::sleep(Duration::from_millis(100));
         stop.store(true, Ordering::Relaxed);
     });
+    *gate.0.lock().expect("gate lock is never poisoned") = true;
+    gate.1.notify_all();
     let pstats = pipeline.stop();
 
     let mut snap = t.health_snapshot();

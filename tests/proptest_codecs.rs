@@ -4,7 +4,7 @@
 use btrace::atrace::{OwnedEvent, TraceEvent};
 use btrace::core::sink::FullEvent;
 use btrace::persist::{
-    decode_frames, encode_frame_with, scan_frames, split_fragments, FrameEncoding, TraceDump,
+    decode_frames, encode_frame_with, split_fragments, FrameEncoding, TraceDump, TraceStore,
 };
 use proptest::prelude::*;
 
@@ -154,10 +154,10 @@ proptest! {
         prop_assert_eq!(reencoded, bytes);
     }
 
-    /// Mixed plain/compressed streams: `scan_frames` reports the version
-    /// bit per frame and tiles the byte stream exactly; `split_fragments`
-    /// partitions frames, bytes, and event counts without loss, and each
-    /// fragment decodes to precisely its slice of the stream.
+    /// Mixed plain/compressed streams: the `TraceStore` directory reports
+    /// the version bit per frame and tiles the byte stream exactly;
+    /// `split_fragments` partitions frames, bytes, and event counts without
+    /// loss, and each fragment decodes to precisely its slice of the stream.
     #[test]
     fn mixed_version_streams_scan_and_split_cleanly(
         batches in arb_full_events(8),
@@ -176,7 +176,9 @@ proptest! {
             bytes.extend_from_slice(&encode_frame_with(i as u64, events, encoding));
         }
 
-        let infos = scan_frames(&bytes).expect("mixed stream scans");
+        let store = TraceStore::from_bytes(bytes.clone());
+        prop_assert!(store.defects().is_empty(), "mixed stream scans cleanly");
+        let infos = store.frames();
         prop_assert_eq!(infos.len(), batches.len());
         let mut cursor = 0usize;
         for (i, info) in infos.iter().enumerate() {
@@ -188,7 +190,7 @@ proptest! {
         }
         prop_assert_eq!(cursor, bytes.len());
 
-        let fragments = split_fragments(&infos, parts);
+        let fragments = split_fragments(infos, parts);
         let total_events: u64 = batches.iter().map(|b| b.len() as u64).sum();
         prop_assert_eq!(fragments.iter().map(|f| f.events).sum::<u64>(), total_events);
         let mut frame_cursor = 0usize;
@@ -199,8 +201,8 @@ proptest! {
             prop_assert_eq!(frag.bytes.start, byte_cursor, "fragments must tile the bytes");
             frame_cursor = frag.frames.end;
             byte_cursor = frag.bytes.end;
-            for frame in frag.decode(&bytes).expect("fragment decodes") {
-                decoded.extend(frame.events);
+            for idx in frag.frames.clone() {
+                decoded.extend(store.decode_frame(idx).expect("fragment decodes"));
             }
         }
         prop_assert_eq!(frame_cursor, infos.len());

@@ -12,14 +12,16 @@
 //!   (the oracle).
 //!
 //! The result sets, derived metrics, reconstructed state, and rendered gap
-//! maps must be **bit-identical**, and the predicate-pruned
-//! `analyze_frames_with` must agree with both. Failing seeds print a
-//! replay line (`BTRACE_QUERY_SEED=<seed> cargo test --test query`).
+//! maps must be **bit-identical**, at one worker thread and at several
+//! fragments on three. Failing seeds print a replay line
+//! (`BTRACE_QUERY_SEED=<seed> cargo test --test query`).
 //!
 //! **Corruption battery**: bits are flipped in headers, bodies, footers,
 //! and length fields, and files are truncated mid-frame and mid-footer —
 //! every case must surface as a typed per-frame defect, intact frames must
-//! stay queryable, and nothing may panic.
+//! stay queryable, and nothing may panic. Over the same inputs the strict
+//! `decode_frames` must fail exactly when the tolerant store reports a
+//! defect, and otherwise return exactly the store's frames.
 
 use btrace::analysis::{gap_map, GapMapOptions, TracePartial};
 use btrace::atrace::{Category, TraceEvent};
@@ -27,8 +29,8 @@ use btrace::core::event::encoded_len;
 use btrace::core::sink::{CollectedEvent, FullEvent};
 use btrace::core::{BTrace, Backing, Config, TraceError};
 use btrace::persist::{
-    analyze_frames_with, decode_frames, encode_frame, encode_frame_with, AnalyzeOptions,
-    DefectKind, FrameEncoding, Predicate, Query, QueryOptions, TraceStore,
+    decode_frames, encode_frame, encode_frame_with, DefectKind, FrameEncoding, Predicate, Query,
+    QueryOptions, TraceStore,
 };
 use btrace::replay::TraceState;
 use btrace::vmem::FaultPlan;
@@ -248,7 +250,7 @@ fn collect(events: &[FullEvent]) -> Vec<CollectedEvent> {
 }
 
 /// One differential run: several generated predicates, each resolved via
-/// the store query, the pruned parallel analyzer, and the linear oracle.
+/// the store query at several thread/fragment shapes and the linear oracle.
 fn run_query_vs_oracle(seed: u64) {
     let bytes = build_stream(seed);
     let store = TraceStore::from_bytes(bytes.clone());
@@ -323,24 +325,27 @@ fn run_query_vs_oracle(seed: u64) {
             "seed {seed} predicate {pi}: prune accounting does not tile the directory"
         );
 
-        // The pruned fragment-parallel analyzer shares the plan and must
-        // agree event-for-event.
+        // Every thread/fragment shape of the executor must agree
+        // event-for-event with the oracle-checked report above.
         for threads in [1usize, 3] {
-            let opts = AnalyzeOptions {
-                threads,
-                fragments: 5,
-                capacity_bytes: 1 << 16,
-                gap_map: gopts,
-                ..Default::default()
-            };
-            let par = analyze_frames_with(&bytes, &opts, Some(&predicate))
-                .expect("healthy stream analyzes");
+            let par = Query {
+                predicate: predicate.clone(),
+                options: QueryOptions { threads, fragments: 5, ..q.options },
+            }
+            .run(&store);
+            assert_eq!(par.events, oracle, "seed {seed} predicate {pi} K={threads}: result set");
             assert_eq!(
                 par.analysis, report.analysis,
-                "seed {seed} predicate {pi} K={threads}: pruned analyzer diverged"
+                "seed {seed} predicate {pi} K={threads}: fragment-parallel query diverged"
             );
             assert_eq!(par.state, report.state, "seed {seed} predicate {pi} K={threads}");
             assert_eq!(par.gap_map, report.gap_map, "seed {seed} predicate {pi} K={threads}");
+            assert!(
+                par.defects.is_empty() && par.handoff.is_empty(),
+                "seed {seed} predicate {pi} K={threads}: defects on a healthy stream: {:?} {:?}",
+                par.defects,
+                par.handoff
+            );
         }
     }
 }
@@ -453,92 +458,77 @@ fn assert_damage_contained(bytes: Vec<u8>, frames: &[Vec<FullEvent>], min_intact
     assert_eq!(report.defects.is_empty(), store.defects().is_empty() && decode_defects.is_empty());
 }
 
-#[test]
-fn corrupt_header_magic_resyncs_past_the_damage() {
-    let (bytes, frames) = battery_stream();
-    let store = TraceStore::from_bytes(bytes.clone());
-    for victim in 0..frames.len() {
-        let mut bytes = bytes.clone();
-        bytes[store.frames()[victim].offset] ^= 0x40;
-        assert_damage_contained(bytes, &frames, frames.len() - 1);
-    }
+/// The clean battery stream's directory, for aiming the damage.
+fn battery_directory(bytes: &[u8]) -> TraceStore {
+    TraceStore::from_bytes(bytes.to_vec())
 }
 
-#[test]
-fn corrupt_length_header_is_contained() {
-    let (bytes, frames) = battery_stream();
-    let store = TraceStore::from_bytes(bytes.clone());
-    for victim in 0..frames.len() {
+/// One flipped magic byte per frame.
+fn magic_flips(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let store = battery_directory(bytes);
+    store
+        .frames()
+        .iter()
+        .map(|f| {
+            let mut bytes = bytes.to_vec();
+            bytes[f.offset] ^= 0x40;
+            bytes
+        })
+        .collect()
+}
+
+/// Every frame's length header overwritten with too-short, implausible,
+/// and past-the-end values.
+fn length_wrecks(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let store = battery_directory(bytes);
+    let mut out = Vec::new();
+    for f in store.frames() {
         for wreck in [0u32, 5, 0xFFFF_FF00] {
-            let mut bytes = bytes.clone();
-            let at = store.frames()[victim].offset + 4;
+            let mut bytes = bytes.to_vec();
+            let at = f.offset + 4;
             bytes[at..at + 4].copy_from_slice(&wreck.to_le_bytes());
-            assert_damage_contained(bytes, &frames, frames.len() - 2);
+            out.push(bytes);
         }
     }
+    out
 }
 
-#[test]
-fn corrupt_body_bits_are_one_frames_defect() {
-    let (bytes, frames) = battery_stream();
-    let store = TraceStore::from_bytes(bytes.clone());
+/// Single body-byte flips (header tail, mid-body, last footer byte), each
+/// with the seq of the frame it damages.
+fn body_flips(bytes: &[u8]) -> Vec<(usize, Vec<u8>)> {
+    let store = battery_directory(bytes);
+    let mut out = Vec::new();
     for victim in [0usize, 1, 3, 5] {
         let f = store.frames()[victim];
         for rel in [20, f.len / 2, f.len - 9] {
-            let mut bytes = bytes.clone();
+            let mut bytes = bytes.to_vec();
             bytes[f.offset + rel] ^= 0xA5;
-            let store = TraceStore::from_bytes(bytes);
-            let hit = store.frames().iter().position(|s| s.seq == victim as u64);
-            if let Some(idx) = hit {
-                let err = store.decode_frame(idx).expect_err("damaged frame must not decode");
-                assert!(
-                    matches!(
-                        err.kind,
-                        DefectKind::ChecksumMismatch
-                            | DefectKind::BodyOverrun
-                            | DefectKind::FooterMismatch
-                    ),
-                    "unexpected defect kind {:?}",
-                    err.kind
-                );
-            }
-            // Flipping one body bit may also desync the directory (the
-            // length field lives in the body of no frame, so at most the
-            // victim is lost); every other frame still round-trips.
-            let mut others = 0;
-            for idx in 0..store.frames().len() {
-                let seq = store.frames()[idx].seq as usize;
-                if seq != victim {
-                    if let Ok(events) = store.decode_frame(idx) {
-                        assert_eq!(events, frames[seq]);
-                        others += 1;
-                    }
-                }
-            }
-            assert!(others >= frames.len() - 2, "intact frames must stay queryable");
+            out.push((victim, bytes));
         }
     }
+    out
 }
 
-#[test]
-fn corrupt_footer_fields_are_typed_defects() {
-    let (bytes, frames) = battery_stream();
-    let store = TraceStore::from_bytes(bytes.clone());
+/// Footer-field flips: magic, min stamp, bitmap, and count.
+fn footer_flips(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let store = battery_directory(bytes);
+    let mut out = Vec::new();
     // Footer starts FOOTER_BYTES + 8 from the frame end (footer + crc = 48).
     for victim in [1usize, 2] {
         let f = store.frames()[victim];
         for rel_from_end in [48, 44, 20, 12] {
-            let mut bytes = bytes.clone();
+            let mut bytes = bytes.to_vec();
             bytes[f.offset + f.len - rel_from_end] ^= 0xFF;
-            assert_damage_contained(bytes, &frames, frames.len() - 1);
+            out.push(bytes);
         }
     }
+    out
 }
 
-#[test]
-fn truncation_anywhere_is_contained() {
-    let (bytes, frames) = battery_stream();
-    let store = TraceStore::from_bytes(bytes.clone());
+/// Prefixes cut inside the trailing crc, mid-footer, mid-body, inside the
+/// last header, and mid-file.
+fn truncations(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let store = battery_directory(bytes);
     let last = *store.frames().last().expect("frames exist");
     let cuts = [
         bytes.len() - 4,              // inside the trailing crc
@@ -547,11 +537,87 @@ fn truncation_anywhere_is_contained() {
         last.offset + 6,              // inside the last header
         store.frames()[2].offset + 9, // mid-file: frames 3.. vanish entirely
     ];
-    for cut in cuts {
-        let store = TraceStore::from_bytes(bytes[..cut].to_vec());
+    cuts.iter().map(|&cut| bytes[..cut].to_vec()).collect()
+}
+
+/// Seeded junk of assorted lengths, the empty file included.
+fn garbage() -> Vec<Vec<u8>> {
+    let mut rng = 0xDEAD_BEEFu64;
+    [0usize, 1, 3, 7, 64, 4096]
+        .iter()
+        .map(|&len| (0..len).map(|_| splitmix(&mut rng) as u8).collect())
+        .collect()
+}
+
+#[test]
+fn corrupt_header_magic_resyncs_past_the_damage() {
+    let (bytes, frames) = battery_stream();
+    for damaged in magic_flips(&bytes) {
+        assert_damage_contained(damaged, &frames, frames.len() - 1);
+    }
+}
+
+#[test]
+fn corrupt_length_header_is_contained() {
+    let (bytes, frames) = battery_stream();
+    for damaged in length_wrecks(&bytes) {
+        assert_damage_contained(damaged, &frames, frames.len() - 2);
+    }
+}
+
+#[test]
+fn corrupt_body_bits_are_one_frames_defect() {
+    let (bytes, frames) = battery_stream();
+    for (victim, damaged) in body_flips(&bytes) {
+        let store = TraceStore::from_bytes(damaged);
+        let hit = store.frames().iter().position(|s| s.seq == victim as u64);
+        if let Some(idx) = hit {
+            let err = store.decode_frame(idx).expect_err("damaged frame must not decode");
+            assert!(
+                matches!(
+                    err.kind,
+                    DefectKind::ChecksumMismatch
+                        | DefectKind::BodyOverrun
+                        | DefectKind::FooterMismatch
+                ),
+                "unexpected defect kind {:?}",
+                err.kind
+            );
+        }
+        // Flipping one body bit may also desync the directory (the length
+        // field lives in the body of no frame, so at most the victim is
+        // lost); every other frame still round-trips.
+        let mut others = 0;
+        for idx in 0..store.frames().len() {
+            let seq = store.frames()[idx].seq as usize;
+            if seq != victim {
+                if let Ok(events) = store.decode_frame(idx) {
+                    assert_eq!(events, frames[seq]);
+                    others += 1;
+                }
+            }
+        }
+        assert!(others >= frames.len() - 2, "intact frames must stay queryable");
+    }
+}
+
+#[test]
+fn corrupt_footer_fields_are_typed_defects() {
+    let (bytes, frames) = battery_stream();
+    for damaged in footer_flips(&bytes) {
+        assert_damage_contained(damaged, &frames, frames.len() - 1);
+    }
+}
+
+#[test]
+fn truncation_anywhere_is_contained() {
+    let (bytes, frames) = battery_stream();
+    for cut in truncations(&bytes) {
+        let cut_at = cut.len();
+        let store = TraceStore::from_bytes(cut);
         assert!(
             !store.defects().is_empty(),
-            "cut at {cut} must be a scan defect: {:?}",
+            "cut at {cut_at} must be a scan defect: {:?}",
             store.defects()
         );
         assert!(store.defects().iter().any(|d| d.kind == DefectKind::Truncated));
@@ -565,9 +631,7 @@ fn truncation_anywhere_is_contained() {
 
 #[test]
 fn garbage_files_never_panic() {
-    let mut rng = 0xDEAD_BEEFu64;
-    for len in [0usize, 1, 3, 7, 64, 4096] {
-        let junk: Vec<u8> = (0..len).map(|_| splitmix(&mut rng) as u8).collect();
+    for junk in garbage() {
         let store = TraceStore::from_bytes(junk);
         let report = Query::default().run(&store);
         assert_eq!(report.matched_events, 0);
@@ -576,4 +640,43 @@ fn garbage_files_never_panic() {
     let store = TraceStore::from_bytes(b"BTSF".to_vec());
     assert_eq!(store.frames().len(), 0);
     assert!(!store.defects().is_empty());
+}
+
+#[test]
+fn strict_decode_fails_exactly_where_the_store_reports_a_defect() {
+    // The strict reader is the tolerant reader with zero defects: over the
+    // clean stream and every battery input, `decode_frames` errs exactly
+    // when the directory or some frame decode reports a defect, and
+    // otherwise returns the store's frames, seqs included.
+    let (bytes, _) = battery_stream();
+    let mut inputs = vec![bytes.clone(), b"BTSF".to_vec()];
+    inputs.extend(magic_flips(&bytes));
+    inputs.extend(length_wrecks(&bytes));
+    inputs.extend(body_flips(&bytes).into_iter().map(|(_, damaged)| damaged));
+    inputs.extend(footer_flips(&bytes));
+    inputs.extend(truncations(&bytes));
+    inputs.extend(garbage());
+    let (mut accepted, mut refused) = (0, 0);
+    for (case, input) in inputs.iter().enumerate() {
+        let store = TraceStore::from_bytes(input.clone());
+        let tolerant: Vec<_> = (0..store.frames().len())
+            .map(|idx| store.decode_frame(idx).map(|events| (store.frames()[idx].seq, events)))
+            .collect();
+        let defective = !store.defects().is_empty() || tolerant.iter().any(Result::is_err);
+        match decode_frames(input) {
+            Ok(strict) => {
+                assert!(!defective, "case {case}: strict decode accepted a defective input");
+                let strict: Vec<_> = strict.into_iter().map(|f| (f.seq, f.events)).collect();
+                let tolerant: Vec<_> = tolerant.into_iter().map(Result::unwrap).collect();
+                assert_eq!(strict, tolerant, "case {case}: strict and tolerant frames differ");
+                accepted += 1;
+            }
+            Err(e) => {
+                assert!(defective, "case {case}: strict decode refused a clean input: {e}");
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "case {case}");
+                refused += 1;
+            }
+        }
+    }
+    assert!(accepted >= 2 && refused > 0, "both outcomes exercised: {accepted} ok, {refused} err");
 }
